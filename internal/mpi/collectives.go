@@ -150,7 +150,7 @@ func (c *Comm) allreduce(b buf, op Op) error {
 		if err := c.reduceTree(b, op, 0, seq); err != nil {
 			return err
 		}
-		markDistribute(b)
+		markDistribute(b, 0, b.length())
 		return c.bcastTree(b, 0, seq)
 	}
 	// Bandwidth-optimal ring: reduce-scatter then ring allgather.
@@ -158,7 +158,7 @@ func (c *Comm) allreduce(b buf, op Op) error {
 	if err := c.reduceScatterRing(b, op, bounds, seq); err != nil {
 		return err
 	}
-	markDistribute(b)
+	markRingOwned(b, bounds, c.rank)
 	return c.ringAllgather(b, bounds, seq, true)
 }
 
@@ -181,7 +181,7 @@ func (c *Comm) allreduceRing(b buf, op Op) error {
 	if err := c.reduceScatterRing(b, op, bounds, seq); err != nil {
 		return err
 	}
-	markDistribute(b)
+	markRingOwned(b, bounds, c.rank)
 	return c.ringAllgather(b, bounds, seq, true)
 }
 

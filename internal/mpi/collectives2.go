@@ -264,7 +264,7 @@ func (c *Comm) allreduceRecDouble(b buf, op Op) error {
 	// Post-phase: odds return the finished result to their even partners —
 	// a distribution-direction send, so lossy-by-requantization codecs
 	// (int8) switch to lossless bytes to keep the result uniform.
-	markDistribute(b)
+	markDistribute(b, 0, n)
 	switch {
 	case r < 2*rem && r%2 == 0:
 		m, err := c.recvRaw(r+1, fixTag)
@@ -364,7 +364,7 @@ func (c *Comm) allreduceHier(b buf, op Op) error {
 		}
 		// Phase 3: intra-node broadcast from the leader. The result is
 		// final from here on — distribution-direction sends.
-		markDistribute(b)
+		markDistribute(b, 0, n)
 		for _, peer := range myPeers[1:] {
 			if err := c.sendRaw(peer, bcTag, b.extract(0, n), b.bytesFor(n)); err != nil {
 				return err
@@ -403,7 +403,7 @@ func (c *Comm) ringAmong(b buf, op Op, members []int, idx int, bounds []int, seq
 		b.reduceIn(lo, hi, m.Data, op)
 	}
 	// Allgather half: completed segments circulate unchanged.
-	markDistribute(b)
+	markDistribute(b, 0, b.length())
 	start := (idx + 1) % p
 	for step := 0; step < p-1; step++ {
 		sc := (start - step + 2*p) % p

@@ -27,10 +27,15 @@ import (
 //     decode — for fp16 this makes sends self-consistent everywhere,
 //     because the binary16 round-trip is idempotent (re-encoding an
 //     already-representable value returns its own bits). At the
-//     reduce→distribute boundary fp16 additionally round-trips the
-//     whole local buffer on every rank (beginDistribution), because
-//     quantize-on-send cannot reach ranks that never forward a finished
-//     segment.
+//     reduce→distribute boundary fp16 additionally rounds the range the
+//     schedule names (beginDistribution), because quantize-on-send
+//     cannot reach ranks that never forward a finished segment. Ring
+//     schedules name only the segment this rank owns after the
+//     reduce-scatter: the allgather overwrites every other segment with
+//     decoded, already-on-grid values. Tree, recursive doubling and
+//     hierarchical name the whole buffer. From then on fp16 sends are
+//     encode-only — the values are on the grid, so writing the decoded
+//     values back would change nothing.
 //
 //  2. int8 re-quantization is NOT idempotent (the per-chunk scale
 //     drifts as the data shrinks toward the grid), so once a value is
@@ -113,11 +118,23 @@ type Float interface{ ~float32 | ~float64 }
 // markDistribute flips a compression-aware buffer into distribution
 // mode: the collective's remaining sends carry finished values, so
 // non-idempotent codecs switch to lossless bytes (see the uniformity
-// notes above). A no-op for plain buffers.
-func markDistribute(b buf) {
-	if d, ok := b.(interface{ beginDistribution() }); ok {
-		d.beginDistribution()
+// notes above). [lo, hi) is the range whose values this rank must hold
+// on the codec grid before distribution starts: the whole buffer,
+// unless the schedule overwrites the rest with received finished
+// values. A no-op for plain buffers.
+func markDistribute(b buf, lo, hi int) {
+	if d, ok := b.(interface{ beginDistribution(lo, hi int) }); ok {
+		d.beginDistribution(lo, hi)
 	}
+}
+
+// markRingOwned is markDistribute for the ring allgather that follows a
+// ring reduce-scatter over bounds: rank r owns finished segment (r+1)%p,
+// and the allgather overwrites every other segment with received
+// finished values, so only the owned segment needs rounding.
+func markRingOwned(b buf, bounds []int, rank int) {
+	own := (rank + 1) % (len(bounds) - 1)
+	markDistribute(b, bounds[own], bounds[own+1])
 }
 
 // compBuf wraps a float slice with a lossy wire codec. Pointer receiver:
@@ -129,21 +146,22 @@ type compBuf[T Float] struct {
 }
 
 // beginDistribution marks the reduce→distribute boundary. For fp16 it
-// also round-trips the whole local buffer through binary16: finished
-// values land on the codec grid on every rank — senders and non-senders
-// alike — before any distribution traffic, so ranks that never forward a
-// segment (recursive doubling's core group at non-power-of-2 worlds,
+// also rounds [lo, hi) through binary16: finished values land on the
+// codec grid on every rank — senders and non-senders alike — before any
+// distribution traffic, so ranks that never forward a segment
+// (recursive doubling's core group at non-power-of-2 worlds,
 // hierarchical non-leaders) hold exactly the bits their peers decode.
 // Without this, quantize-on-send alone leaves non-senders off-grid and
-// the group diverges. Idempotent: the second call finds grid values.
-func (b *compBuf[T]) beginDistribution() {
+// the group diverges. Idempotent: the second call is a no-op.
+func (b *compBuf[T]) beginDistribution(lo, hi int) {
 	if b.dist {
 		return
 	}
 	b.dist = true
 	if b.codec == CodecFP16 {
-		for i, v := range b.v {
-			b.v[i] = T(transport.Float16From(transport.Float16Bits(float32(v))))
+		v := b.v[lo:hi]
+		for i, x := range v {
+			v[i] = T(transport.Float16From(transport.Float16Bits(float32(x))))
 		}
 	}
 }
@@ -163,6 +181,8 @@ func (b *compBuf[T]) bytesFor(n int) int64 {
 
 func (b *compBuf[T]) extract(lo, hi int) any {
 	switch {
+	case b.codec == CodecFP16 && b.dist:
+		return f16Encode(b.v[lo:hi]) // finished values are on the grid already
 	case b.codec == CodecFP16:
 		return f16Compress(b.v[lo:hi])
 	case b.codec == CodecInt8 && !b.dist:
@@ -248,6 +268,16 @@ func f16Compress[T Float](src []T) transport.F16 {
 		h := transport.Float16Bits(float32(v))
 		out[i] = h
 		src[i] = T(transport.Float16From(h))
+	}
+	return out
+}
+
+// f16Encode returns the wire payload of src without touching src: for
+// values already on the binary16 grid it decodes back to src exactly.
+func f16Encode[T Float](src []T) transport.F16 {
+	out := make(transport.F16, len(src))
+	for i, v := range src {
+		out[i] = transport.Float16Bits(float32(v))
 	}
 	return out
 }

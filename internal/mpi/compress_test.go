@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -192,7 +193,9 @@ func TestAllreduceBufCodecSelection(t *testing.T) {
 
 // End-to-end: a compressed allreduce over a full schedule must land
 // within the multi-hop bound and — the ULFM prerequisite — bit-identical
-// on every rank.
+// on every rank. Every fp16 schedule also runs worlds 2–5 on inputs that
+// reach the binary16 subnormals and ±65504, at a size each world splits
+// unevenly, both above and below the tree/ring switch of AlgoAuto.
 func TestAllreduceCompressedEndToEnd(t *testing.T) {
 	const elems = 40000 // > smallThreshold bytes, uneven across world 6
 	for _, tc := range []struct {
@@ -203,74 +206,137 @@ func TestAllreduceCompressedEndToEnd(t *testing.T) {
 		{"fp16-ring", CodecFP16, AlgoRing},
 		{"fp16-pipelined", CodecFP16, AlgoPipelinedRing},
 		{"fp16-recdouble", CodecFP16, AlgoRecursiveDoubling},
+		{"fp16-hier", CodecFP16, AlgoHierarchical},
+		{"fp16-auto", CodecFP16, AlgoAuto},
 		{"int8-ring", CodecInt8, AlgoRing},
 		{"int8-pipelined", CodecInt8, AlgoPipelinedRing},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const nodes, ppn = 2, 3
-			world_ := nodes * ppn
-			inputs := make([][]float32, world_)
-			exact := make([]float64, elems)
-			for r := 0; r < world_; r++ {
+			inputs := make([][]float32, nodes*ppn)
+			for r := range inputs {
 				rng := rand.New(rand.NewSource(int64(100 + r)))
 				inputs[r] = make([]float32, elems)
 				for i := range inputs[r] {
 					inputs[r][i] = float32(rng.NormFloat64())
-					exact[i] += float64(inputs[r][i])
 				}
 			}
-			sumAbs := make([]float64, elems)
-			for r := 0; r < world_; r++ {
-				for i, v := range inputs[r] {
-					sumAbs[i] += math.Abs(float64(v))
-				}
+			checkCompressedAllreduce(t, tc.codec, tc.algo, nodes, ppn, inputs)
+			if tc.codec != CodecFP16 {
+				return
 			}
-			var mu sync.Mutex
-			results := make(map[int][]float32)
-			world(t, nodes, ppn, func(c *Comm) error {
-				data := append([]float32(nil), inputs[c.Rank()]...)
-				opts := AllreduceOptions{Algo: tc.algo, Chunks: DefaultPipelineChunks, Codec: tc.codec}
-				if err := AllreduceOpts(c, data, OpSum, opts); err != nil {
-					return err
-				}
-				mu.Lock()
-				results[c.Rank()] = data
-				mu.Unlock()
-				return nil
-			})
-			// Uniformity: every rank must hold bit-identical results.
-			for r := 1; r < world_; r++ {
-				for i := range results[0] {
-					if math.Float32bits(results[r][i]) != math.Float32bits(results[0][i]) {
-						t.Fatalf("rank %d elem %d = %v, rank 0 has %v — ranks diverged", r, i, results[r][i], results[0][i])
-					}
-				}
-			}
-			// Accuracy: generous multi-hop bounds (hops ≤ world+1 for the
-			// ring family, ≤ 2·log2(world) for recursive doubling). The
-			// int8 grid step follows the *chunk's* max partial magnitude,
-			// so its bound is global: any partial sum is ≤ the largest
-			// Σ|x_i| anywhere in the tensor.
-			maxSumAbs := 0.0
-			for _, s := range sumAbs {
-				if s > maxSumAbs {
-					maxSumAbs = s
-				}
-			}
-			for i, got := range results[0] {
-				var bound float64
-				switch tc.codec {
-				case CodecFP16:
-					bound = float64(world_+2) * 0x1p-11 * sumAbs[i]
-				case CodecInt8:
-					bound = float64(world_) * maxSumAbs / 127 // 2x over (world-1)·M/254
-				}
-				bound += 1e-6 // float32 accumulation noise for near-zero sums
-				if e := math.Abs(float64(got) - exact[i]); e > bound {
-					t.Fatalf("elem %d: |%v - %v| = %v exceeds bound %v", i, got, exact[i], e, bound)
+			// nodes×ppn layouts give hierarchical both a single node and
+			// multi-leader rings.
+			for _, l := range []struct{ nodes, ppn int }{{1, 2}, {3, 1}, {2, 2}, {5, 1}} {
+				for _, n := range []int{40001, 3001} { // ring and tree sizes; n%w != 0 for w in 2..5
+					w := l.nodes * l.ppn
+					t.Run(fmt.Sprintf("world%d-n%d", w, n), func(t *testing.T) {
+						checkCompressedAllreduce(t, tc.codec, tc.algo, l.nodes, l.ppn, f16EdgeInputs(w, n))
+					})
 				}
 			}
 		})
+	}
+}
+
+// f16EdgeInputs cycles four lanes through every element index: N(0,1);
+// magnitudes 2^-14 and below, which quantize to binary16 subnormals;
+// ±65504 held by one rank (zeros elsewhere), whose sum is exactly
+// representable; and positive values up to 40000, whose partial sums
+// overflow to +Inf. No lane can meet an Inf of the other sign, so no
+// NaN appears.
+func f16EdgeInputs(world, n int) [][]float32 {
+	inputs := make([][]float32, world)
+	for r := range inputs {
+		rng := rand.New(rand.NewSource(int64(500 + r)))
+		inputs[r] = make([]float32, n)
+		for i := range inputs[r] {
+			var v float64
+			switch i % 4 {
+			case 0:
+				v = rng.NormFloat64()
+			case 1:
+				v = (rng.Float64()*2 - 1) * math.Ldexp(1, -14-rng.Intn(12))
+			case 2:
+				if (i/4)%world == r {
+					v = 65504
+					if i%8 == 2 {
+						v = -65504
+					}
+				}
+			case 3:
+				v = rng.Float64() * 40000
+			}
+			inputs[r][i] = float32(v)
+		}
+	}
+	return inputs
+}
+
+// checkCompressedAllreduce runs one compressed OpSum allreduce of
+// inputs (one slice per rank) on a nodes×ppn simulated world and checks
+// cross-rank bit identity and the multi-hop error bound. Elements whose
+// Σ|x_i| plus that bound passes 65504 may saturate under fp16; they are
+// held to uniformity alone.
+func checkCompressedAllreduce(t *testing.T, codec WireCodec, algo AllreduceAlgo, nodes, ppn int, inputs [][]float32) {
+	t.Helper()
+	world_ := nodes * ppn
+	elems := len(inputs[0])
+	exact := make([]float64, elems)
+	sumAbs := make([]float64, elems)
+	for r := 0; r < world_; r++ {
+		for i, v := range inputs[r] {
+			exact[i] += float64(v)
+			sumAbs[i] += math.Abs(float64(v))
+		}
+	}
+	var mu sync.Mutex
+	results := make(map[int][]float32)
+	world(t, nodes, ppn, func(c *Comm) error {
+		data := append([]float32(nil), inputs[c.Rank()]...)
+		opts := AllreduceOptions{Algo: algo, Chunks: DefaultPipelineChunks, Codec: codec}
+		if err := AllreduceOpts(c, data, OpSum, opts); err != nil {
+			return err
+		}
+		mu.Lock()
+		results[c.Rank()] = data
+		mu.Unlock()
+		return nil
+	})
+	// Uniformity: every rank must hold bit-identical results.
+	for r := 1; r < world_; r++ {
+		for i := range results[0] {
+			if math.Float32bits(results[r][i]) != math.Float32bits(results[0][i]) {
+				t.Fatalf("rank %d elem %d = %v, rank 0 has %v — ranks diverged", r, i, results[r][i], results[0][i])
+			}
+		}
+	}
+	// Accuracy: generous multi-hop bounds (hops ≤ world+1 for the
+	// ring family, ≤ 2·log2(world) for recursive doubling). The
+	// int8 grid step follows the *chunk's* max partial magnitude,
+	// so its bound is global: any partial sum is ≤ the largest
+	// Σ|x_i| anywhere in the tensor.
+	maxSumAbs := 0.0
+	for _, s := range sumAbs {
+		if s > maxSumAbs {
+			maxSumAbs = s
+		}
+	}
+	for i, got := range results[0] {
+		var bound float64
+		switch codec {
+		case CodecFP16:
+			bound = float64(world_+2) * 0x1p-11 * sumAbs[i]
+			if sumAbs[i]+bound > 65504 {
+				continue // a partial sum may round past 65504 to +Inf
+			}
+		case CodecInt8:
+			bound = float64(world_) * maxSumAbs / 127 // 2x over (world-1)·M/254
+		}
+		bound += 1e-6 // float32 accumulation noise for near-zero sums
+		if e := math.Abs(float64(got) - exact[i]); e > bound {
+			t.Fatalf("elem %d: |%v - %v| = %v exceeds bound %v", i, got, exact[i], e, bound)
+		}
 	}
 }
 

@@ -69,7 +69,7 @@ func (c *Comm) allreducePipelined(b buf, op Op, chunks int) error {
 	if err := c.reduceScatterRingPipelined(b, op, bounds, seq, chunks); err != nil {
 		return err
 	}
-	markDistribute(b)
+	markRingOwned(b, bounds, c.rank)
 	return c.ringAllgatherPipelined(b, bounds, seq, chunks)
 }
 

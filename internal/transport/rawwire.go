@@ -52,8 +52,25 @@ func init() {
 // Conversion is idempotent: encoding an exactly representable binary16
 // value returns its own bits, which is what makes an fp16 round-trip on
 // the sender a no-op for already-quantized tensors.
+//
+// The normal binary16 range, |f| in [2^-14, 65536), takes a branch-free
+// fast path: rebias the exponent, then add 0xfff plus the kept
+// mantissa's low bit before dropping 13 bits, which rounds to nearest
+// even. A mantissa carry rolls into the exponent, so the top of the
+// range yields 0x7c00 (Inf) exactly as overflow must. Subnormals, NaN,
+// Inf and overflow take the out-of-line slow path.
 func Float16Bits(f float32) uint16 {
 	b := math.Float32bits(f)
+	a := b & 0x7fffffff
+	if a-0x38800000 < 0x47800000-0x38800000 {
+		return uint16(b>>16&0x8000) | uint16((a-0x38000000+0xfff+(a>>13&1))>>13)
+	}
+	return float16BitsSlow(b)
+}
+
+// float16BitsSlow is the general scalar conversion of float32 bits b;
+// Float16Bits routes everything outside the normal binary16 range here.
+func float16BitsSlow(b uint32) uint16 {
 	sign := uint16(b >> 16 & 0x8000)
 	exp := int32(b>>23&0xff) - 127 + 15
 	man := b & 0x7fffff
@@ -86,8 +103,22 @@ func Float16Bits(f float32) uint16 {
 	}
 }
 
-// Float16From converts IEEE 754 binary16 bits to float32, exactly.
-func Float16From(h uint16) float32 {
+// float16Table maps every binary16 bit pattern to its float32 value.
+var float16Table = func() (t [1 << 16]float32) {
+	for h := range t {
+		t[h] = float16Decode(uint16(h))
+	}
+	return t
+}()
+
+// Float16From converts IEEE 754 binary16 bits to float32, exactly: one
+// lookup in a 256 KiB table built at init (after J. van der Zijp, "Fast
+// Half Float Conversions", 2008).
+func Float16From(h uint16) float32 { return float16Table[h] }
+
+// float16Decode is the scalar binary16 → float32 conversion that fills
+// float16Table.
+func float16Decode(h uint16) float32 {
 	sign := uint32(h&0x8000) << 16
 	exp := uint32(h >> 10 & 0x1f)
 	man := uint32(h & 0x3ff)

@@ -133,16 +133,22 @@ func TestZeroCopyCompressedUniform(t *testing.T) {
 	cfg := tcpnet.Config{DialRetries: 4, DialBackoff: 20 * time.Millisecond, DialTimeout: time.Second, ZeroCopyMin: 1}
 	prev := transport.SetRawCodec(true)
 	defer transport.SetRawCodec(prev)
-	got := loopbackWorld(t, world, cfg, inputs, func(c *mpi.Comm, data []float32) error {
-		return mpi.AllreduceOpts(c, data, mpi.OpSum,
-			mpi.AllreduceOptions{Algo: mpi.AlgoPipelinedRing, Chunks: 2, Codec: mpi.CodecFP16})
-	})
-	for r := 1; r < world; r++ {
-		for i := range got[0] {
-			if math.Float32bits(got[r][i]) != math.Float32bits(got[0][i]) {
-				t.Fatalf("rank %d elem %d = %v, rank 0 = %v — compressed zero-copy path diverged",
-					r, i, got[r][i], got[0][i])
+	for _, opts := range []mpi.AllreduceOptions{
+		{Algo: mpi.AlgoPipelinedRing, Chunks: 2, Codec: mpi.CodecFP16},
+		{Algo: mpi.AlgoRing, Codec: mpi.CodecFP16},
+	} {
+		t.Run(opts.Algo.String(), func(t *testing.T) {
+			got := loopbackWorld(t, world, cfg, inputs, func(c *mpi.Comm, data []float32) error {
+				return mpi.AllreduceOpts(c, data, mpi.OpSum, opts)
+			})
+			for r := 1; r < world; r++ {
+				for i := range got[0] {
+					if math.Float32bits(got[r][i]) != math.Float32bits(got[0][i]) {
+						t.Fatalf("rank %d elem %d = %v, rank 0 = %v — compressed zero-copy path diverged",
+							r, i, got[r][i], got[0][i])
+					}
+				}
 			}
-		}
+		})
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,6 +23,7 @@ import (
 	"repro/internal/transport"
 	"repro/internal/transport/tcpnet"
 	"repro/internal/ulfm"
+	"repro/internal/vtime"
 )
 
 // syncBuf guards the journal: the rendezvous sweeper writes while the
@@ -48,7 +50,10 @@ type workerResult struct {
 	step0 float64 // allreduce result with the full world
 	step1 float64 // allreduce result after the kill (survivors only)
 	size1 int     // communicator size after recovery
-	err   error
+	// repair is the time from this survivor's MarkDead of the victim to
+	// the return of its repaired step-1 allreduce (shipped-budget case).
+	repair time.Duration
+	err    error
 }
 
 func runWorker(srvAddr string, world int, results chan<- workerResult) {
@@ -355,5 +360,175 @@ func TestLoopbackWorldSurvivesKill(t *testing.T) {
 	}
 	if !strings.Contains(s, `"hb_dead"`) {
 		t.Errorf("journal missing hb_dead declaration:\n%s", s)
+	}
+}
+
+// runShippedBudgetWorker kills the victim while the survivors' step-1
+// pipelined allreduce is mid-ring, on the retry budget elasticd ships
+// (tcpnet.Config{}: 50 ms backoff doubling over 5 retries). The victim
+// stops heartbeating, starts step 1 (its first chunks land in the
+// survivors' queues), and closes its transport once the detector has
+// suspected it; only then do the survivors start step 1. The ring
+// neighbour sending to the victim finds a reset connection and a refused
+// redial, and sits in the dial-retry backoff until the declaration
+// cancels it. Each survivor records how long its repaired allreduce
+// took to return after its MarkDead.
+func runShippedBudgetWorker(srvAddr string, world, elems int, suspected func() bool, gone chan struct{}, results chan<- workerResult) {
+	var res workerResult
+	defer func() { results <- res }()
+	fail := func(err error) { res.err = err }
+
+	ep, err := tcpnet.Listen("127.0.0.1:0", tcpnet.Config{})
+	if err != nil {
+		fail(err)
+		return
+	}
+	defer ep.Close()
+
+	cl, err := rendezvous.Join(srvAddr, ep.Addr(), 20*time.Second)
+	if err != nil {
+		fail(err)
+		return
+	}
+	ep.Start(cl.Proc(), cl.Peers())
+	var markedAt atomic.Int64 // UnixNano, stamped before MarkDead runs
+	cl.Start(func(dead transport.ProcID) {
+		markedAt.CompareAndSwap(0, time.Now().UnixNano())
+		ep.MarkDead(dead)
+	})
+	res.proc = cl.Proc()
+	victim := cl.Rank() == world-1
+
+	p := mpi.Attach(ep)
+	comm, err := mpi.World(p, cl.Procs())
+	if err != nil {
+		fail(err)
+		return
+	}
+	r := ulfm.New(comm, nil, ulfm.DefaultPolicy())
+	pipelined := mpi.AllreduceOptions{Algo: mpi.AlgoPipelinedRing, Chunks: mpi.DefaultPipelineChunks}
+	mkData := func() []float64 {
+		data := make([]float64, elems)
+		for i := range data {
+			data[i] = float64(cl.Proc()) + 1
+		}
+		return data
+	}
+
+	data := mkData()
+	if err := ulfm.AllreduceOpts(r, data, mpi.OpSum, pipelined); err != nil {
+		fail(err)
+		return
+	}
+	res.step0 = data[0]
+
+	if victim {
+		cl.Abandon()
+		go func() {
+			_ = mpi.AllreduceOpts(r.Comm(), mkData(), mpi.OpSum, pipelined)
+		}()
+		if !vtime.WaitUntil(10*time.Second, suspected) {
+			fail(fmt.Errorf("victim never suspected"))
+		}
+		ep.Close()
+		close(gone)
+		return
+	}
+	defer cl.Close()
+
+	select {
+	case <-gone:
+	case <-time.After(20 * time.Second):
+		fail(fmt.Errorf("victim never died"))
+		return
+	}
+	data = mkData()
+	if err := ulfm.AllreduceOpts(r, data, mpi.OpSum, pipelined); err != nil {
+		fail(err)
+		return
+	}
+	done := time.Now()
+	res.step1 = data[0]
+	for i := range data {
+		if data[i] != res.step1 {
+			fail(fmt.Errorf("step1 element %d = %v, want %v", i, data[i], res.step1))
+			return
+		}
+	}
+	res.size1 = r.Size()
+	if at := markedAt.Load(); at != 0 {
+		res.repair = done.Sub(time.Unix(0, at))
+	} else {
+		fail(fmt.Errorf("step 1 returned without a declaration of the victim"))
+	}
+}
+
+// TestLoopbackShippedBudgetRecoversAtDeclaration checks that on the
+// shipped retry budget a survivor stuck in the dial-retry backoff toward
+// the dead member is released by the declaration: every survivor's
+// repaired allreduce returns within 1 s of its MarkDead, where waiting
+// out the 1.55 s backoff would take longer.
+func TestLoopbackShippedBudgetRecoversAtDeclaration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	const world = 4
+	const elems = 64<<10 + 7
+
+	var journal syncBuf
+	srv, err := rendezvous.ListenAndServe("127.0.0.1:0", rendezvous.Config{
+		World:             world,
+		HeartbeatInterval: 25 * time.Millisecond,
+		SuspectAfter:      200 * time.Millisecond,
+		DeadAfter:         500 * time.Millisecond,
+		Trace:             trace.New(&journal),
+	})
+	if err != nil {
+		t.Fatalf("rendezvous: %v", err)
+	}
+	defer srv.Close()
+
+	suspected := func() bool { return strings.Contains(journal.String(), `"hb_suspect"`) }
+	gone := make(chan struct{})
+	results := make(chan workerResult, world)
+	for i := 0; i < world; i++ {
+		go runShippedBudgetWorker(srv.Addr(), world, elems, suspected, gone, results)
+	}
+
+	var got []workerResult
+	deadline := time.After(30 * time.Second)
+	for len(got) < world {
+		select {
+		case r := <-results:
+			got = append(got, r)
+		case <-deadline:
+			t.Fatalf("only %d/%d workers finished; journal:\n%s", len(got), world, journal.String())
+		}
+	}
+
+	const wantStep0 = 1 + 2 + 3 + 4
+	const wantStep1 = 1 + 2 + 3
+	var survivors int
+	for _, r := range got {
+		if r.err != nil {
+			t.Fatalf("worker proc %d: %v", r.proc, r.err)
+		}
+		if r.step0 != wantStep0 {
+			t.Errorf("proc %d step0 = %v, want %v", r.proc, r.step0, wantStep0)
+		}
+		if r.proc == world-1 {
+			continue
+		}
+		survivors++
+		t.Logf("proc %d: repaired allreduce returned %v after MarkDead", r.proc, r.repair)
+		if r.step1 != wantStep1 || r.size1 != world-1 {
+			t.Errorf("proc %d step1 = %v over size %d, want %v over %d", r.proc, r.step1, r.size1, wantStep1, world-1)
+		}
+		if r.repair > time.Second {
+			t.Errorf("proc %d: repaired allreduce returned %v after MarkDead, want <= 1s", r.proc, r.repair)
+		}
+	}
+	if survivors != world-1 {
+		t.Fatalf("%d survivors reported, want %d", survivors, world-1)
 	}
 }

@@ -22,6 +22,8 @@ var (
 		"Successful peer dials (first connections and reconnects).")
 	obsDialRetries = obs.Default().Counter("tcpnet_dial_retries_total",
 		"Backoff retries taken inside writeToPeer (dial or write failures).")
+	obsSendAborts = obs.Default().Counter("tcpnet_send_aborts_total",
+		"Sends to a peer cut short by its failure declaration (MarkDead) or by Close, instead of running out their dial/write retries.")
 	obsReconnects = obs.Default().Counter("tcpnet_reconnects_total",
 		"Successful dials that replaced a previously working connection.")
 	obsFramePoolGets = obs.Default().Counter("tcpnet_frame_pool_gets_total",

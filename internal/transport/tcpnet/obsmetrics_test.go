@@ -26,6 +26,7 @@ func TestSendPathInstrumentationAllocFree(t *testing.T) {
 		"pool checkout": func() { obsFramePoolGets.Inc() },
 		"dial retry":    func() { obsDialRetries.Inc() },
 		"send error":    func() { obsSendErrors.Inc() },
+		"send abort":    func() { obsSendAborts.Inc() },
 	}
 	for name, fn := range ops {
 		if allocs := testing.AllocsPerRun(200, fn); allocs != 0 {

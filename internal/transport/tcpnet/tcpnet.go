@@ -14,10 +14,17 @@
 // rendezvous service's wall-clock heartbeat detector, which the process
 // feeds into MarkDead to trigger the same CtlPeerDown control path the
 // simulator's perfect detector exercises.
+//
+// The dial/write retry budget covers a peer only until it is declared.
+// A declaration (MarkDead) or a shutdown (Close) cancels every wait the
+// endpoint can make on the peer — backoff sleep, dial in progress, write
+// blocked on a full socket — so the send fails at once and recovery
+// starts at detection speed instead of after the remaining backoff.
 package tcpnet
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -37,9 +44,11 @@ type Config struct {
 	DialTimeout time.Duration
 	// DialRetries is how many times a failed dial or write is retried
 	// (with exponential backoff) before the peer is reported failed.
-	// Default 5.
+	// A MarkDead or Close for the peer ends the retries early, whatever
+	// budget remains. Default 5.
 	DialRetries int
-	// DialBackoff is the initial retry backoff, doubling per attempt.
+	// DialBackoff is the initial retry backoff, doubling per attempt;
+	// a MarkDead or Close for the peer cuts the sleep short.
 	// Default 50ms.
 	DialBackoff time.Duration
 	// WrapConn, if set, wraps every connection the endpoint creates —
@@ -96,12 +105,54 @@ const writeBufSize = 64 << 10
 // unflushed buffer when Send returns).
 type peer struct {
 	addr string
+	// ctx is the peer's down signal: cancelPeer (on MarkDead or Close)
+	// cancels it, which ends the backoff wait in writeToPeerFn and aborts
+	// a dial in progress.
+	ctx    context.Context
+	cancel context.CancelFunc
+
 	mu   sync.Mutex
 	conn net.Conn
 	bw   *bufio.Writer
 	// everConnected distinguishes a first dial from a reconnect after a
 	// working connection was lost (the reconnects metric).
 	everConnected bool
+
+	// live mirrors conn for the cancelling side, which must not wait for
+	// mu while a writer blocks in a write: closing live cuts the write
+	// short. Only the writer sets it, and never once ctx is cancelled.
+	liveMu sync.Mutex
+	live   net.Conn
+}
+
+func newPeer(addr string) *peer {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &peer{addr: addr, ctx: ctx, cancel: cancel}
+}
+
+// setLive publishes a freshly dialed connection for cancellers, or
+// closes it and reports false if the peer was cancelled first. Checking
+// ctx under liveMu pairs with cancelPeer, which cancels ctx before it
+// reads live under the same lock, so no connection escapes a cancel.
+func (p *peer) setLive(conn net.Conn) bool {
+	p.liveMu.Lock()
+	defer p.liveMu.Unlock()
+	if p.ctx.Err() != nil {
+		conn.Close()
+		return false
+	}
+	p.live = conn
+	return true
+}
+
+// dropConn closes the writer's connection after a failed write so the
+// next attempt redials.
+func (p *peer) dropConn() {
+	p.conn.Close()
+	p.conn, p.bw = nil, nil
+	p.liveMu.Lock()
+	p.live = nil
+	p.liveMu.Unlock()
 }
 
 // Endpoint is a process's TCP attachment: listener, mailbox, peer table,
@@ -169,7 +220,7 @@ func (e *Endpoint) Start(id transport.ProcID, peers map[transport.ProcID]string)
 			continue
 		}
 		if _, ok := e.peers[pid]; !ok {
-			e.peers[pid] = &peer{addr: addr}
+			e.peers[pid] = newPeer(addr)
 		}
 	}
 }
@@ -224,7 +275,10 @@ func (e *Endpoint) Compute(d float64) { e.touch() }
 // MarkDead records an authoritative failure declaration for a peer (from
 // the rendezvous heartbeat detector) and injects the CtlPeerDown control
 // notice, waking any blocked Recv so the ULFM recovery path can run. It
-// is idempotent and safe from any goroutine.
+// also cancels the peer: a Send to it that is sitting out the dial-retry
+// backoff, dialing, or blocked in a write returns PeerFailedError now
+// rather than when its retry budget runs out. MarkDead never waits for
+// that Send. It is idempotent and safe from any goroutine.
 func (e *Endpoint) MarkDead(id transport.ProcID) {
 	e.mu.Lock()
 	if e.closed || e.dead[id] {
@@ -232,21 +286,32 @@ func (e *Endpoint) MarkDead(id transport.ProcID) {
 		return
 	}
 	e.dead[id] = true
-	p := e.peers[id]
+	var live net.Conn
+	if p := e.peers[id]; p != nil {
+		live = cancelPeer(p)
+		// Its write buffer and closed conn go once no writer holds p.
+		delete(e.peers, id)
+	}
 	e.queue = append(e.queue, &transport.Message{
 		From: id, To: e.id, Tag: transport.CtlPeerDown, ArriveAt: e.now(),
 	})
 	e.cond.Broadcast()
 	e.mu.Unlock()
-	if p != nil {
-		p.mu.Lock()
-		if p.conn != nil {
-			p.conn.Close()
-			p.conn = nil
-			p.bw = nil
-		}
-		p.mu.Unlock()
+	if live != nil {
+		live.Close()
 	}
+}
+
+// cancelPeer cancels p's down signal and returns its live connection, if
+// any, for the caller to close once it has released e.mu; the writer
+// blocked on it then fails and clears its own state under p.mu. It is
+// called under e.mu on a peer as it leaves the table (MarkDead) or on
+// every peer left in it (Close), so each peer is cancelled once.
+func cancelPeer(p *peer) net.Conn {
+	p.cancel()
+	p.liveMu.Lock()
+	defer p.liveMu.Unlock()
+	return p.live
 }
 
 // Close shuts the endpoint down gracefully: the listener and all
@@ -268,13 +333,14 @@ func (e *Endpoint) Close() error {
 		transport.ReleaseMessage(m)
 	}
 	e.queue = nil
-	conns := make([]net.Conn, 0, len(e.conns))
+	conns := make([]net.Conn, 0, len(e.conns)+len(e.peers))
 	for c := range e.conns {
 		conns = append(conns, c)
 	}
-	peers := make([]*peer, 0, len(e.peers))
 	for _, p := range e.peers {
-		peers = append(peers, p)
+		if c := cancelPeer(p); c != nil {
+			conns = append(conns, c)
+		}
 	}
 	e.cond.Broadcast()
 	e.mu.Unlock()
@@ -282,15 +348,6 @@ func (e *Endpoint) Close() error {
 	e.ln.Close()
 	for _, c := range conns {
 		c.Close()
-	}
-	for _, p := range peers {
-		p.mu.Lock()
-		if p.conn != nil {
-			p.conn.Close()
-			p.conn = nil
-			p.bw = nil
-		}
-		p.mu.Unlock()
 	}
 	e.wg.Wait()
 	return nil
@@ -534,7 +591,9 @@ func (e *Endpoint) writeVecToPeer(p *peer, hdr, body []byte) error {
 // connection, dialing (or redialing) with exponential backoff between
 // attempts. The write function sees a connected peer (p.conn, p.bw
 // valid) under p.mu; any error it returns drops the connection and
-// retries the whole frame on a fresh one.
+// retries the whole frame on a fresh one. Cancelling the peer ends the
+// loop at whichever wait it is in: the backoff select, the dial (its
+// context), or the write (the canceller closes the connection).
 func (e *Endpoint) writeToPeerFn(p *peer, write func(p *peer) error) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -544,40 +603,51 @@ func (e *Endpoint) writeToPeerFn(p *peer, write func(p *peer) error) error {
 		if attempt > 0 {
 			obsDialRetries.Inc()
 			select {
-			case <-e.done:
-				return transport.ErrDead
+			case <-p.ctx.Done():
+				obsSendAborts.Inc()
+				return lastErr
 			case <-time.After(backoff):
 			}
 			backoff *= 2
 		}
 		if p.conn == nil {
-			conn, err := net.DialTimeout("tcp", p.addr, e.cfg.DialTimeout)
-			if err != nil {
-				lastErr = err
+			if lastErr = e.dial(p); lastErr != nil {
 				continue
 			}
-			setNoDelay(conn)
-			if e.cfg.WrapConn != nil {
-				conn = e.cfg.WrapConn(conn, true)
-			}
-			obsDials.Inc()
-			if p.everConnected {
-				obsReconnects.Inc()
-			}
-			p.everConnected = true
-			p.conn = conn
-			p.bw = bufio.NewWriterSize(conn, writeBufSize)
 		}
 		if err := write(p); err != nil {
-			p.conn.Close()
-			p.conn = nil
-			p.bw = nil
+			p.dropConn()
 			lastErr = err
 			continue
 		}
 		return nil
 	}
 	return lastErr
+}
+
+// dial connects p under p.mu, giving up as soon as the peer is
+// cancelled, and publishes the connection for cancellers.
+func (e *Endpoint) dial(p *peer) error {
+	d := net.Dialer{Timeout: e.cfg.DialTimeout}
+	conn, err := d.DialContext(p.ctx, "tcp", p.addr)
+	if err != nil {
+		return err
+	}
+	setNoDelay(conn)
+	if e.cfg.WrapConn != nil {
+		conn = e.cfg.WrapConn(conn, true)
+	}
+	if !p.setLive(conn) {
+		return context.Canceled
+	}
+	obsDials.Inc()
+	if p.everConnected {
+		obsReconnects.Inc()
+	}
+	p.everConnected = true
+	p.conn = conn
+	p.bw = bufio.NewWriterSize(conn, writeBufSize)
+	return nil
 }
 
 // writeBuffered pushes one frame through a buffered writer and flushes it.

@@ -2,6 +2,8 @@ package tcpnet
 
 import (
 	"errors"
+	"io"
+	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -225,6 +227,177 @@ func TestUnreachablePeerIsFailure(t *testing.T) {
 	err = a.Send(1, 1, []int{1}, 8)
 	if proc, ok := transport.IsPeerFailed(err); !ok || proc != 1 {
 		t.Fatalf("send to unreachable = %v, want PeerFailedError{1}", err)
+	}
+}
+
+// deadAddr returns a loopback address nothing listens on: dials to it
+// are refused at once, so a Send to it spends its time in the backoff.
+func deadAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	return addr
+}
+
+// isPeerFailed reports whether err is PeerFailedError{proc}.
+func isPeerFailed(err error, proc transport.ProcID) bool {
+	got, ok := transport.IsPeerFailed(err)
+	return ok && got == proc
+}
+
+// TestMarkDeadCutsDialBackoff declares a peer while a Send to it sits in
+// the dial-retry backoff of the shipped Config{} (50 ms doubling over 5
+// retries, 1.55 s in all). The declaration must end the Send at once,
+// and MarkDead must not wait for it.
+func TestMarkDeadCutsDialBackoff(t *testing.T) {
+	a, err := Listen("127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer a.Close()
+	a.Start(0, map[transport.ProcID]string{1: deadAddr(t)})
+
+	retries0, aborts0 := obsDialRetries.Value(), obsSendAborts.Value()
+	errc := make(chan error, 1)
+	go func() { errc <- a.Send(1, 1, []int{1}, 8) }()
+	if !vtime.WaitUntil(5*time.Second, func() bool { return obsDialRetries.Value() > retries0 }) {
+		t.Fatal("send never entered the dial-retry backoff")
+	}
+
+	marked := time.Now()
+	a.MarkDead(1)
+	if d := time.Since(marked); d > 50*time.Millisecond {
+		t.Errorf("MarkDead took %v, want <= 50ms: it waited for the send", d)
+	}
+	select {
+	case err := <-errc:
+		if d := time.Since(marked); d > 250*time.Millisecond {
+			t.Errorf("send returned %v after MarkDead, want <= 250ms", d)
+		}
+		if !isPeerFailed(err, 1) {
+			t.Fatalf("send = %v, want PeerFailedError{1}", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("send still blocked 5s after MarkDead")
+	}
+	if d := obsSendAborts.Value() - aborts0; d != 1 {
+		t.Errorf("send aborts delta = %d, want 1", d)
+	}
+}
+
+// stalledPeer starts a raw listener that accepts one connection, reads
+// the 4-byte length prefix of the first frame and then never reads
+// again, so a Send larger than the socket buffers blocks in its write.
+// The returned channel is closed once the prefix has been read, i.e.
+// once the sender is inside the write. Cleanup closes the listener and
+// then the connection, which also frees a writer the test left blocked.
+func stalledPeer(t *testing.T) (string, <-chan struct{}) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	started := make(chan struct{})
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		accepted <- c
+		var prefix [4]byte
+		if _, err := io.ReadFull(c, prefix[:]); err == nil {
+			close(started)
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		select {
+		case c := <-accepted:
+			c.Close()
+		default:
+		}
+	})
+	return ln.Addr().String(), started
+}
+
+// sendBlockedInWrite starts a Send from a (proc 0) to a stalled proc 1
+// that cannot fit in the socket buffers, waits until it is inside the
+// write, and checks that it is still blocked there. The Send's result
+// arrives on the returned channel. a is closed at cleanup, after the
+// stalled peer.
+func sendBlockedInWrite(t *testing.T) (*Endpoint, <-chan error) {
+	t.Helper()
+	a, err := Listen("127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { a.Close() })
+	addr, started := stalledPeer(t)
+	a.Start(0, map[transport.ProcID]string{1: addr})
+
+	errc := make(chan error, 1)
+	go func() { errc <- a.Send(1, 1, make([]byte, 16<<20), 16<<20) }()
+	select {
+	case <-started:
+	case err := <-errc:
+		t.Fatalf("send returned %v before the peer saw the frame", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("stalled peer never saw the frame")
+	}
+	select {
+	case err := <-errc:
+		t.Fatalf("send returned %v: the socket buffers absorbed 16 MiB, the test needs a larger payload", err)
+	default:
+	}
+	return a, errc
+}
+
+// TestMarkDeadCutsBlockedWrite declares a peer that stopped reading
+// while a Send to it is blocked in the write. MarkDead must return
+// without waiting for the writer, and the Send must fail with
+// PeerFailedError.
+func TestMarkDeadCutsBlockedWrite(t *testing.T) {
+	a, errc := sendBlockedInWrite(t)
+	marked := make(chan struct{})
+	go func() { a.MarkDead(1); close(marked) }()
+	select {
+	case <-marked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("MarkDead still blocked after 5s: it waits for the writer")
+	}
+	select {
+	case err := <-errc:
+		if !isPeerFailed(err, 1) {
+			t.Fatalf("send = %v, want PeerFailedError{1}", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("send still blocked 5s after MarkDead")
+	}
+}
+
+// TestCloseCutsBlockedWrite is TestMarkDeadCutsBlockedWrite with a
+// shutdown in place of the declaration: the Send reports ErrDead.
+func TestCloseCutsBlockedWrite(t *testing.T) {
+	a, errc := sendBlockedInWrite(t)
+	closed := make(chan struct{})
+	go func() { a.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close still blocked after 5s: it waits for the writer")
+	}
+	select {
+	case err := <-errc:
+		if err != transport.ErrDead {
+			t.Fatalf("send = %v, want ErrDead", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("send still blocked 5s after Close")
 	}
 }
 
